@@ -341,7 +341,7 @@ func runSLO(kvDtype moelightning.KVDtype, prefix moelightning.SharedPrefixMode, 
 		GeneratedUnix: time.Now().Unix(),
 		Model:         moelightning.TinyMoE().Name,
 		KVDtype:       kvDtype.String(),
-		Admission:     string(traffic.PolicySlack),
+		Admission:     "deadline-slack",
 		Seed:          seed,
 	}
 	for _, scn := range scenarios {

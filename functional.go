@@ -69,36 +69,14 @@ func (o *FunctionalOptions) defaults() {
 	}
 }
 
-// FunctionalResult reports a functional run.
+// FunctionalResult reports a functional run: every generated output,
+// the server's stats for the drain (waves, deferrals, prefill and
+// prefix-sharing counts, data movement, expert paging), and whether
+// the reference cross-check ran.
 type FunctionalResult struct {
+	ServerStats
 	// Outputs maps request ID to generated token IDs.
 	Outputs map[int][]int
-	// Waves is how many pipeline rounds served the queue.
-	Waves int
-	// Deferred counts requests pushed to a later wave at least once
-	// (Alg. 2's aborted list).
-	Deferred int
-	// PrefillTokens counts prompt tokens prefilled across all waves;
-	// PrefillTokensPerSecond is prompt-phase throughput over the time
-	// spent in the packed prefill pass.
-	PrefillTokens          int
-	PrefillTokensPerSecond float64
-	// PrefixHitTokens / PrefixHitRatio / CowCopies summarize
-	// shared-prefix KV reuse: prompt tokens mapped from resident shared
-	// prefixes instead of prefilled, their share of all prompt tokens,
-	// and copy-on-write block copies on divergence.
-	PrefixHitTokens int
-	PrefixHitRatio  float64
-	CowCopies       int64
-	// HtoDBytes / DtoHBytes / PagesMoved account the data movement the
-	// pipeline performed (bytes / page count).
-	HtoDBytes, DtoHBytes, PagesMoved int64
-	// WeightBytesFetched is the expert-pager traffic: bytes of expert
-	// FFN blocks fetched into the GPU residency pool (demand + prefetch).
-	// ExpertHits / ExpertMisses split expert acquisitions into warm hits
-	// and demand-fetched misses.
-	WeightBytesFetched       int64
-	ExpertHits, ExpertMisses int64
 	// Verified is true when the reference cross-check ran and matched.
 	Verified bool
 }
@@ -150,20 +128,7 @@ func RunFunctional(cfg ModelConfig, requests []Request, opts FunctionalOptions) 
 		}
 		out.Outputs[h.ID()] = tokens
 	}
-	st := srv.Stats()
-	out.Waves = st.Waves
-	out.Deferred = st.Deferred
-	out.PrefillTokens = st.PrefillTokens
-	out.PrefillTokensPerSecond = st.PrefillTokensPerSecond
-	out.PrefixHitTokens = st.PrefixHitTokens
-	out.PrefixHitRatio = st.PrefixHitRatio
-	out.CowCopies = st.CowCopies
-	out.HtoDBytes = st.HtoDBytes
-	out.DtoHBytes = st.DtoHBytes
-	out.PagesMoved = st.PagesMoved
-	out.WeightBytesFetched = st.WeightBytesFetched
-	out.ExpertHits = st.ExpertHits
-	out.ExpertMisses = st.ExpertMisses
+	out.ServerStats = srv.Stats()
 
 	if opts.Verify {
 		// srv.vocab is the serving path's effective vocabulary, so the

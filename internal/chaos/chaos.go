@@ -170,15 +170,7 @@ func Run(cfg Config) (Report, error) {
 		genLen     = 10
 		maxContext = 64
 	)
-	layout := engine.NewLayout(m)
-	layerFloats := layout.LayerFloats()
-	residencyFloats := layout.ResidencySlots(0) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	waveSeqs := microBatch * numMicro
-	cpu := memory.NewArena("cpu", m.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("kvcache", 2*waveSeqs*maxContext*m.KVDim()*2+4<<20)
+	cpu, gpu, pinned, cacheArena := engine.NewArenas(m, 0, microBatch*numMicro, maxContext)
 	w, err := engine.NewRandomWeights(cpu, m, cfg.Seed)
 	if err != nil {
 		return rep, err

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/workload"
 )
@@ -150,64 +149,47 @@ func MeasurePrefill(cfg PrefillBenchConfig) (PrefillBenchResult, error) {
 	return res, nil
 }
 
-// ServeBenchResult is one timed closed-queue serve run.
+// ServeBenchResult is one timed closed-queue serve run: the server's
+// stats and the wall-clock Seconds the drain took, which with
+// GeneratedTokens give the end-to-end generation throughput (prefill +
+// decode + scheduling) the calibrated performance model is judged
+// against.
 type ServeBenchResult struct {
-	ServeResult
-	// GeneratedTokens and Seconds give the end-to-end generation
-	// throughput (prefill + decode + scheduling) the calibrated
-	// performance model is judged against.
-	GeneratedTokens int
-	Seconds         float64
+	ServerStats
+	Seconds float64
 }
 
 // MeasureServe builds weights and arenas (sized like the public
-// server), drains the request queue through engine.Serve and reports
+// server), drains the request queue through a Server and reports
 // wall-clock generation throughput.
 func MeasureServe(m model.Config, seed int64, queue []workload.Request, cfg ServeConfig) (ServeBenchResult, error) {
 	var res ServeBenchResult
-	layout := NewLayout(m)
-	layerFloats := layout.LayerFloats()
-	residencyFloats := layout.ResidencySlots(cfg.ExpertResidencyBytes) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	waveSeqs := cfg.MicroBatchSize * cfg.NumMicroBatches
-	cacheCap := 2*waveSeqs*cfg.MaxContext*m.KVDim()*2 + 4<<20
-
-	cpu := memory.NewArena("cpu", m.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("kvcache", cacheCap)
-
+	cpu, gpu, pinned, cacheArena := NewArenas(m, cfg.ExpertResidencyBytes, cfg.MicroBatchSize*cfg.NumMicroBatches, cfg.MaxContext)
 	w, err := NewRandomWeights(cpu, m, seed)
 	if err != nil {
 		return res, err
 	}
 	start := time.Now()
-	sr, err := Serve(w, gpu, pinned, cacheArena, queue, cfg)
+	srv, err := NewServer(w, gpu, pinned, cacheArena, cfg)
+	if err != nil {
+		return res, err
+	}
+	_, err = srv.SubmitBatch(queue, nil)
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return res, err
 	}
 	res.Seconds = time.Since(start).Seconds()
-	res.ServeResult = sr
-	for _, toks := range sr.Outputs {
-		res.GeneratedTokens += len(toks)
-	}
+	res.ServerStats = srv.Stats()
 	return res, nil
 }
 
 // buildBenchPipeline sizes arenas for the model (the same shape the
 // public server uses) and builds a pipeline plus synthetic prompts.
 func buildBenchPipeline(m model.Config, seed int64, seqs int, cfg Config, promptLen int) (*Pipeline, [][]int, error) {
-	layout := NewLayout(m)
-	layerFloats := layout.LayerFloats()
-	residencyFloats := layout.ResidencySlots(cfg.ExpertResidencyBytes) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	cacheCap := 2*seqs*cfg.MaxContext*m.KVDim()*2 + 4<<20
-
-	cpu := memory.NewArena("cpu", m.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("cache", cacheCap)
-
+	cpu, gpu, pinned, cacheArena := NewArenas(m, cfg.ExpertResidencyBytes, seqs, cfg.MaxContext)
 	w, err := NewRandomWeights(cpu, m, seed)
 	if err != nil {
 		return nil, nil, err

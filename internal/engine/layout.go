@@ -9,6 +9,7 @@ package engine
 import (
 	"fmt"
 
+	"moelightning/internal/memory"
 	"moelightning/internal/model"
 	"moelightning/internal/tensor"
 )
@@ -94,6 +95,23 @@ func (l Layout) ResidencySlots(bytes int) int {
 		n = all
 	}
 	return n
+}
+
+// NewArenas allocates the arenas for serving model m in waves of up to
+// seqs sequences of maxContext tokens. The CPU arena holds every layer's
+// weights. The GPU and pinned arenas hold the double-buffered shared
+// region, the expert residency pool (and its per-slot pinned staging)
+// and the per-micro-batch transfer buffers: 2*LayerFloats covers the
+// first two at the default residency, and the slot term covers any
+// larger expertResidencyBytes. The cache arena holds K and V for every
+// sequence with 2x headroom.
+func NewArenas(m model.Config, expertResidencyBytes, seqs, maxContext int) (cpu, gpu, pinned, cache *memory.Arena) {
+	l := NewLayout(m)
+	weights := 2*l.LayerFloats() + l.ResidencySlots(expertResidencyBytes)*l.ExpertFloats() + 4<<20
+	return memory.NewArena("cpu", m.Layers*l.LayerFloats()+4<<20),
+		memory.NewArena("gpu", weights),
+		memory.NewArena("pinned", weights),
+		memory.NewArena("kvcache", 2*seqs*maxContext*m.KVDim()*2+4<<20)
 }
 
 // Views over a layer's flat data. Weights are stored transposed

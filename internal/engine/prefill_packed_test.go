@@ -175,7 +175,7 @@ func TestServeReportsPrefillThroughput(t *testing.T) {
 	reqs := []workload.Request{
 		{ID: 0, PromptLen: 4}, {ID: 1, PromptLen: 7}, {ID: 2, PromptLen: 5},
 	}
-	res, err := Serve(w, gpu, pinned, cacheArena, reqs, ServeConfig{
+	_, res, err := serveAll(w, gpu, pinned, cacheArena, reqs, ServeConfig{
 		NumMicroBatches: 2, MicroBatchSize: 2,
 		GenLen: 3, CacheTokens: 200, MaxContext: 32,
 	})
@@ -201,13 +201,13 @@ func TestInt8WavesBatchMoreSequences(t *testing.T) {
 		{ID: 0, PromptLen: 40}, {ID: 1, PromptLen: 40},
 		{ID: 2, PromptLen: 40}, {ID: 3, PromptLen: 40},
 	}
-	run := func(dtype kvcache.DType) ServeResult {
+	run := func(dtype kvcache.DType) ServerStats {
 		cpu, gpu, pinned, cacheArena := newTestArenas()
 		w, err := NewRandomWeights(cpu, cfg, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Serve(w, gpu, pinned, cacheArena, reqs, ServeConfig{
+		outputs, res, err := serveAll(w, gpu, pinned, cacheArena, reqs, ServeConfig{
 			NumMicroBatches: 1, MicroBatchSize: 4,
 			GenLen: 5, CacheTokens: 100, MaxContext: 64,
 			KVDtype: dtype,
@@ -215,10 +215,10 @@ func TestInt8WavesBatchMoreSequences(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dtype %v: %v", dtype, err)
 		}
-		if len(res.Outputs) != len(reqs) {
-			t.Fatalf("dtype %v: served %d of %d", dtype, len(res.Outputs), len(reqs))
+		if len(outputs) != len(reqs) {
+			t.Fatalf("dtype %v: served %d of %d", dtype, len(outputs), len(reqs))
 		}
-		for id, toks := range res.Outputs {
+		for id, toks := range outputs {
 			if len(toks) != 5 {
 				t.Fatalf("dtype %v: request %d generated %d tokens", dtype, id, len(toks))
 			}

@@ -345,14 +345,14 @@ func TestServeSharedPrefixWave(t *testing.T) {
 	cfg := model.Tiny()
 	reqs := prefixRequests(4, 3, 16, []int{6, 4, 8, 5})
 	var outputs [2]map[int][]int
-	var onStats ServeResult
+	var onStats ServerStats
 	for i, shared := range []bool{false, true} {
 		cpu, gpu, pinned, cacheArena := newTestArenas()
 		w, err := NewRandomWeights(cpu, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Serve(w, gpu, pinned, cacheArena, reqs, ServeConfig{
+		out, res, err := serveAll(w, gpu, pinned, cacheArena, reqs, ServeConfig{
 			NumMicroBatches: 2, MicroBatchSize: 2,
 			GenLen: 4, CacheTokens: 100, MaxContext: 32,
 			SharedPrefixKV: shared,
@@ -360,7 +360,7 @@ func TestServeSharedPrefixWave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outputs[i] = res.Outputs
+		outputs[i] = out
 		if shared {
 			onStats = res
 		}

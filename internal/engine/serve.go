@@ -5,8 +5,6 @@ import (
 
 	"moelightning/internal/faults"
 	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
-	"moelightning/internal/workload"
 )
 
 // ServeConfig parameterizes wave-based batch serving: the whole request
@@ -33,8 +31,8 @@ type ServeConfig struct {
 	// HonorRequestGenLen lets a request's own GenLen (when 0 < GenLen <
 	// the wave's GenLen) end it early, retiring its sequence and freeing
 	// its KV blocks mid-wave. Off, every request generates exactly
-	// GenLen tokens — the classic closed-batch behavior Serve and
-	// RunFunctional keep.
+	// GenLen tokens — the classic closed-batch behavior RunFunctional
+	// keeps.
 	HonorRequestGenLen bool
 	// KVDtype selects the KV cache codec every wave's pipeline uses:
 	// kvcache.F32 (the zero value; bit-exact) or kvcache.Int8 (§3.3
@@ -94,78 +92,4 @@ type ServeConfig struct {
 	// pipeline (expert-pager fetches, KV block allocation, wave stalls).
 	// Nil means no injection: the hooks are never installed.
 	Faults *faults.Injector
-}
-
-// ServeResult is the outcome of serving a queue.
-type ServeResult struct {
-	// Outputs maps request ID to its generated tokens.
-	Outputs map[int][]int
-	// Waves is how many pipeline rounds ran.
-	Waves int
-	// Deferred counts requests that were pushed to a later wave at
-	// least once (Alg. 2's aborted list).
-	Deferred int
-	// PrefillTokens counts prompt tokens prefilled across all waves;
-	// PrefillTokensPerSecond is prompt-phase throughput over the time
-	// spent in the packed prefill pass.
-	PrefillTokens          int
-	PrefillTokensPerSecond float64
-	// PrefixHitTokens / PrefixHitRatio / CowCopies summarize
-	// shared-prefix KV reuse: prompt tokens mapped from resident
-	// prefixes (vs prefilled), their share of all prompt tokens, and
-	// copy-on-write block copies on divergence.
-	PrefixHitTokens int
-	PrefixHitRatio  float64
-	CowCopies       int64
-	// Data-movement totals across all waves (bytes / pages).
-	HtoDBytes, DtoHBytes, PagesMoved int64
-	// Expert weight-paging totals across all waves: bytes of expert
-	// blocks fetched into the residency pool, and the warm-hit/miss
-	// split of expert acquisitions (misses demand-fetched on the
-	// critical path).
-	WeightBytesFetched       int64
-	ExpertHits, ExpertMisses int64
-}
-
-// Serve drains a closed request queue through successive pipeline
-// waves: a thin wrapper over the long-lived Server that submits the
-// whole queue at once and waits for the drain. The weights live in
-// their own arena and persist across waves; the GPU, pinned and cache
-// arenas are reset between waves (their regions die with each wave's
-// pipeline).
-func Serve(w *Weights, gpu, pinned, cacheArena *memory.Arena, queue []workload.Request, cfg ServeConfig) (ServeResult, error) {
-	res := ServeResult{Outputs: make(map[int][]int)}
-	if len(queue) == 0 {
-		return res, nil
-	}
-	srv, err := NewServer(w, gpu, pinned, cacheArena, cfg)
-	if err != nil {
-		return res, err
-	}
-	handles, err := srv.SubmitBatch(queue, nil)
-	if err != nil {
-		srv.Close()
-		return res, err
-	}
-	closeErr := srv.Close() // drains: every handle finishes
-	for _, h := range handles {
-		if tokens, herr := h.Wait(); herr == nil {
-			res.Outputs[h.ID()] = tokens
-		}
-	}
-	st := srv.Stats()
-	res.Waves = st.Waves
-	res.Deferred = st.Deferred
-	res.PrefillTokens = st.PrefillTokens
-	res.PrefillTokensPerSecond = st.PrefillTokensPerSecond
-	res.PrefixHitTokens = st.PrefixHitTokens
-	res.PrefixHitRatio = st.PrefixHitRatio
-	res.CowCopies = st.CowCopies
-	res.HtoDBytes = st.HtoDBytes
-	res.DtoHBytes = st.DtoHBytes
-	res.PagesMoved = st.PagesMoved
-	res.WeightBytesFetched = st.WeightBytesFetched
-	res.ExpertHits = st.ExpertHits
-	res.ExpertMisses = st.ExpertMisses
-	return res, closeErr
 }

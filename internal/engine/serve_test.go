@@ -9,6 +9,27 @@ import (
 	"moelightning/internal/workload"
 )
 
+// serveAll drains a closed queue through a Server — NewServer, one
+// SubmitBatch, Close — and returns the tokens of every request that
+// completed, by ID, with the final stats and Close's error.
+func serveAll(w *Weights, gpu, pinned, cacheArena *memory.Arena, queue []workload.Request, cfg ServeConfig) (map[int][]int, ServerStats, error) {
+	srv, err := NewServer(w, gpu, pinned, cacheArena, cfg)
+	if err != nil {
+		return nil, ServerStats{}, err
+	}
+	hs, err := srv.SubmitBatch(queue, nil)
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
+	out := make(map[int][]int, len(hs))
+	for _, h := range hs {
+		if tokens, herr := h.Wait(); herr == nil {
+			out[h.ID()] = tokens
+		}
+	}
+	return out, srv.Stats(), err
+}
+
 func serveQueue(n int) []workload.Request {
 	reqs := make([]workload.Request, n)
 	for i := range reqs {
@@ -29,7 +50,7 @@ func TestServeMatchesReference(t *testing.T) {
 	queue := serveQueue(10)
 	const genLen = 4
 
-	res, err := Serve(w, gpu, pinned, cacheArena, queue, ServeConfig{
+	outputs, res, err := serveAll(w, gpu, pinned, cacheArena, queue, ServeConfig{
 		NumMicroBatches: 2,
 		MicroBatchSize:  2,
 		GenLen:          genLen,
@@ -45,8 +66,8 @@ func TestServeMatchesReference(t *testing.T) {
 	if res.Deferred == 0 {
 		t.Error("later requests must have been deferred at least once")
 	}
-	if len(res.Outputs) != len(queue) {
-		t.Fatalf("served %d of %d requests", len(res.Outputs), len(queue))
+	if len(outputs) != len(queue) {
+		t.Fatalf("served %d of %d requests", len(outputs), len(queue))
 	}
 
 	// Reference: each request independently.
@@ -60,8 +81,8 @@ func TestServeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range queue {
-		if !reflect.DeepEqual(res.Outputs[r.ID], want[i]) {
-			t.Errorf("request %d: serve %v != reference %v", r.ID, res.Outputs[r.ID], want[i])
+		if !reflect.DeepEqual(outputs[r.ID], want[i]) {
+			t.Errorf("request %d: serve %v != reference %v", r.ID, outputs[r.ID], want[i])
 		}
 	}
 }
@@ -74,7 +95,7 @@ func TestServeSingleWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Serve(w, gpu, pinned, cacheArena, serveQueue(4), ServeConfig{
+	_, res, err := serveAll(w, gpu, pinned, cacheArena, serveQueue(4), ServeConfig{
 		NumMicroBatches: 2,
 		MicroBatchSize:  2,
 		GenLen:          3,
@@ -99,7 +120,7 @@ func TestServeRejectsImpossibleRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	queue := []workload.Request{{ID: 1, PromptLen: 100, GenLen: 4}}
-	_, err = Serve(w, gpu, pinned, cacheArena, queue, ServeConfig{
+	_, _, err = serveAll(w, gpu, pinned, cacheArena, queue, ServeConfig{
 		NumMicroBatches: 1,
 		MicroBatchSize:  1,
 		GenLen:          4,

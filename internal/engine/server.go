@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"moelightning/internal/batching"
@@ -62,7 +62,8 @@ type Handle struct {
 	cancel  <-chan struct{}
 	genLen  int // effective generation length for this request
 	slo     SLO
-	qtokens int // prompt + effective gen tokens: the queue-bound weight
+	qtokens int    // prompt + effective gen tokens: the queue-bound weight
+	key     uint64 // unique per submission: the planner's no-progress identity
 
 	// queued marks the handle as counted against the server's queue
 	// bounds. Guarded by the SERVER's mu (it moves with queuedReqs /
@@ -77,6 +78,7 @@ type Handle struct {
 	err               error
 	deferred          bool
 	deferrals         int
+	wave              int // wave that ran the request; 0 while queued
 	finished          bool
 	tpotHopeless      bool // TPOT guard verdict: budget irrecoverable
 	submitted         time.Time
@@ -93,6 +95,10 @@ var closedTokens = func() chan Token {
 	return ch
 }()
 
+// handleKeys numbers handles for AdmissionItem.Key. Keys need only be
+// unique, so one process-wide counter serves every server.
+var handleKeys atomic.Uint64
+
 func newHandle(req workload.Request, cancel <-chan struct{}, genLen int, slo SLO) *Handle {
 	if genLen < 0 {
 		genLen = 0
@@ -102,6 +108,7 @@ func newHandle(req workload.Request, cancel <-chan struct{}, genLen int, slo SLO
 		cancel:    cancel,
 		genLen:    genLen,
 		slo:       slo,
+		key:       handleKeys.Add(1),
 		done:      make(chan struct{}),
 		submitted: time.Now(),
 	}
@@ -112,6 +119,14 @@ func (h *Handle) Request() workload.Request { return h.req }
 
 // ID returns the request's id.
 func (h *Handle) ID() int { return h.req.ID }
+
+// Wave returns the number of the wave the request was dispatched into,
+// or 0 while it is queued and if it finished without running.
+func (h *Handle) Wave() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.wave
+}
 
 // Tokens streams generated tokens as their decode steps complete — the
 // first token arrives right after the wave's prefill, long before the
@@ -206,21 +221,36 @@ func (h *Handle) canceled() bool {
 }
 
 func (h *Handle) finish(err error) {
+	if h.seal(err) {
+		h.wake()
+	}
+}
+
+// seal records err as the request's outcome and drops every later push;
+// it reports false if the handle was already sealed. A true return
+// obliges the caller to wake the handle.
+func (h *Handle) seal(err error) bool {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.finished {
-		h.mu.Unlock()
-		return
+		return false
 	}
 	h.finished = true
 	h.err = err
-	ch := h.tokens
-	if ch == nil {
+	if h.tokens == nil {
 		// Never streamed and no consumer asked yet: point Tokens() at the
 		// shared closed channel instead of allocating one to close.
 		h.tokens = closedTokens
 	}
+	return true
+}
+
+// wake closes a sealed handle's token stream and Done channel.
+func (h *Handle) wake() {
+	h.mu.Lock()
+	ch := h.tokens
 	h.mu.Unlock()
-	if ch != nil {
+	if ch != closedTokens {
 		close(ch)
 	}
 	close(h.done)
@@ -322,43 +352,42 @@ type Server struct {
 	// finish), and the sum of their qtokens.
 	queuedReqs   int
 	queuedTokens int
+	// dispatched counts waves started (Stats().Waves counts completed
+	// ones): it numbers waves for Handle.Wave and wave errors.
+	dispatched int
 	// broken is set when a wedged wave forces the watchdog to abandon
 	// the pipeline: the arenas are unrecoverable, so every later submit
 	// and wave fails fast with this error.
 	broken error
 }
 
-// serverAccum is the mutable half of ServerStats.
+// serverAccum is the mutable state behind ServerStats: the counters
+// it reports as-is, plus the sums the derived fields are computed from.
 type serverAccum struct {
-	submitted, completed, canceled, failed int
-	waves, deferred                        int
-	tokens                                 int
-	prefillTokens                          int
-	prefixHitTokens                        int
-	cowCopies                              int64
-	prefillTime                            time.Duration
-	ttftSum, tpotSum                       time.Duration
-	ttftN, tpotN                           int
-	ttftHist, tpotHist                     *metrics.Histogram // lazily allocated
-	sloRequests, sloMet                    int
-	sloMissTTFT, sloMissTPOT               int
-	maxDeferrals                           int
-	busy                                   time.Duration
-	htod, dtoh, pages                      int64
-	weightBytes, expHits, expMisses        int64
-	shed, deadlineDropped                  int
-	waveTimeouts, kvLeaks                  int
-	faultRetries, faultFailures            int64
+	ServerStats
+	prefillTime, busy  time.Duration
+	ttftSum, tpotSum   time.Duration
+	ttftN, tpotN       int
+	ttftHist, tpotHist *metrics.Histogram // lazily allocated
 }
 
-// batchConfig builds the Alg. 2 configuration for a server: the KV
+// rate is generation throughput over busy (in-wave) time; 0 before the
+// first wave finishes.
+func (a *serverAccum) rate() float64 {
+	if a.busy <= 0 {
+		return 0
+	}
+	return float64(a.GeneratedTokens) / a.busy.Seconds()
+}
+
+// BatchConfig builds the Alg. 2 configuration for a server: the KV
 // term is budgeted in BYTES — CacheTokens float32-token-equivalents of
 // per-micro-batch arena capacity, spent at the serving codec's
 // kvcache.TokenBytes rate — so an int8 wave admits ~32/9 the context
 // of the identical float32 config instead of leaving the arena's
 // headroom idle. For a float32 codec the byte check reduces exactly to
 // the classic token check.
-func batchConfig(cfg ServeConfig, kvDim int) batching.Config {
+func BatchConfig(cfg ServeConfig, kvDim int) batching.Config {
 	return batching.Config{
 		NumMicroBatches: cfg.NumMicroBatches,
 		MicroBatchSize:  cfg.MicroBatchSize,
@@ -381,7 +410,7 @@ func NewServer(w *Weights, gpu, pinned, cacheArena *memory.Arena, cfg ServeConfi
 	if cfg.GenLen < 0 {
 		return nil, fmt.Errorf("engine: negative GenLen %d", cfg.GenLen)
 	}
-	if err := batchConfig(cfg, w.Cfg.KVDim()).Validate(); err != nil {
+	if err := BatchConfig(cfg, w.Cfg.KVDim()).Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{
@@ -395,14 +424,14 @@ func NewServer(w *Weights, gpu, pinned, cacheArena *memory.Arena, cfg ServeConfi
 	return s, nil
 }
 
-// effGenLen resolves a request's generation length under the server
+// EffGenLen resolves a request's generation length under a server
 // config: with HonorRequestGenLen, a request's own GenLen (capped at the
 // wave length) wins; otherwise every request runs the full wave length.
-func (s *Server) effGenLen(r workload.Request) int {
-	if s.cfg.HonorRequestGenLen && r.GenLen > 0 && r.GenLen < s.cfg.GenLen {
+func EffGenLen(cfg ServeConfig, r workload.Request) int {
+	if cfg.HonorRequestGenLen && r.GenLen > 0 && r.GenLen < cfg.GenLen {
 		return r.GenLen
 	}
-	return s.cfg.GenLen
+	return cfg.GenLen
 }
 
 // Submit admits one request. cancel (may be nil) cancels the request
@@ -443,13 +472,15 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 		return nil, fmt.Errorf("engine: %d SLOs for %d requests", len(slos), len(reqs))
 	}
 	hs := make([]*Handle, len(reqs))
+	demands := make([]Demand, len(reqs))
 	for i, r := range reqs {
 		var slo SLO
 		if slos != nil {
 			slo = slos[i]
 		}
-		hs[i] = newHandle(r, cancel, s.effGenLen(r), slo)
+		hs[i] = newHandle(r, cancel, EffGenLen(s.cfg, r), slo)
 		hs[i].qtokens = r.PromptLen + hs[i].genLen
+		demands[i] = Demand{ID: r.ID, Tokens: hs[i].qtokens, TTFT: slo.TTFT}
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -463,11 +494,12 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 	}
 	// Overload control: bound the pending set before the batch enters
 	// it. The whole batch is admitted or shed atomically.
-	if err := s.admitCheckLocked(hs); err != nil {
-		s.stats.shed += len(hs)
+	if err := CheckSubmit(s.cfg, s.queuedReqs, s.queuedTokens, demands, s.stats.rate()); err != nil {
+		s.stats.Shed += len(hs)
 		s.mu.Unlock()
 		return nil, err
 	}
+	s.stats.Submitted += len(hs)
 	for _, h := range hs {
 		h.queued = true
 		s.queuedReqs++
@@ -483,61 +515,6 @@ func (s *Server) SubmitBatchSLO(reqs []workload.Request, slos []SLO, cancel <-ch
 	s.inflight--
 	s.mu.Unlock()
 	return hs, nil
-}
-
-// admitCheckLocked is the overload-control gate: it rejects a batch
-// whose admission would push the pending set past MaxQueuedRequests or
-// MaxQueuedTokens, and — under SLOAwareShed, once the server has a
-// measured generation rate — a batch whose projected queue drain time
-// already exceeds every one of its requests' TTFT budgets (a request
-// with no TTFT budget never sheds this way). Callers hold s.mu.
-func (s *Server) admitCheckLocked(hs []*Handle) error {
-	if n := s.cfg.MaxQueuedRequests; n > 0 && s.queuedReqs+len(hs) > n {
-		return fmt.Errorf("%w: %d queued requests + %s exceed MaxQueuedRequests %d",
-			ErrOverloaded, s.queuedReqs, s.describeHandles(hs), n)
-	}
-	tok := 0
-	for _, h := range hs {
-		tok += h.qtokens
-	}
-	if n := s.cfg.MaxQueuedTokens; n > 0 && s.queuedTokens+tok > n {
-		return fmt.Errorf("%w: %d queued tokens + %s exceed MaxQueuedTokens %d",
-			ErrOverloaded, s.queuedTokens, s.describeHandles(hs), n)
-	}
-	if s.cfg.SLOAwareShed && s.stats.busy > 0 && s.stats.tokens > 0 {
-		rate := float64(s.stats.tokens) / s.stats.busy.Seconds()
-		drain := time.Duration(float64(s.queuedTokens+tok) / rate * float64(time.Second))
-		shedAll := true
-		for _, h := range hs {
-			if h.slo.TTFT <= 0 || drain <= h.slo.TTFT {
-				shedAll = false
-				break
-			}
-		}
-		if shedAll {
-			return fmt.Errorf("%w: projected queue drain %v (%.0f tok/s over %d queued tokens) exceeds every TTFT budget of %s",
-				ErrOverloaded, drain.Round(time.Millisecond), rate, s.queuedTokens+tok, s.describeHandles(hs))
-		}
-	}
-	return nil
-}
-
-// describeHandles names a handle group's requests and their token/byte
-// demands for admission-failure and no-progress diagnostics: enough to
-// identify WHICH requests were refused and what they asked for.
-func (s *Server) describeHandles(hs []*Handle) string {
-	tokBytes := kvcache.TokenBytes(s.w.Cfg.KVDim(), s.cfg.KVDtype) * s.w.Cfg.Layers
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d request(s):", len(hs))
-	for i, h := range hs {
-		if i == 8 {
-			fmt.Fprintf(&b, " …(+%d more)", len(hs)-i)
-			break
-		}
-		fmt.Fprintf(&b, " id %d (%d prompt + %d gen tokens, %d KV bytes)",
-			h.req.ID, h.req.PromptLen, h.genLen, h.qtokens*tokBytes)
-	}
-	return b.String()
 }
 
 // dequeueLocked releases a handle's claim on the queue bounds: called
@@ -573,25 +550,8 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a := s.stats
-	st := ServerStats{
-		Submitted: a.submitted, Completed: a.completed,
-		Canceled: a.canceled, Failed: a.failed,
-		Waves: a.waves, Deferred: a.deferred,
-		GeneratedTokens: a.tokens,
-		PrefillTokens:   a.prefillTokens,
-		PrefixHitTokens: a.prefixHitTokens,
-		CowCopies:       a.cowCopies,
-		SLORequests:     a.sloRequests, SLOMet: a.sloMet,
-		SLOMissTTFT: a.sloMissTTFT, SLOMissTPOT: a.sloMissTPOT,
-		MaxDeferrals: a.maxDeferrals,
-		Shed:         a.shed, DeadlineDropped: a.deadlineDropped,
-		WaveTimeouts: a.waveTimeouts, KVLeaks: a.kvLeaks,
-		FaultRetries: a.faultRetries, FaultFailures: a.faultFailures,
-		QueuedRequests: s.queuedReqs, QueuedTokens: s.queuedTokens,
-		HtoDBytes: a.htod, DtoHBytes: a.dtoh, PagesMoved: a.pages,
-		WeightBytesFetched: a.weightBytes,
-		ExpertHits:         a.expHits, ExpertMisses: a.expMisses,
-	}
+	st := a.ServerStats
+	st.QueuedRequests, st.QueuedTokens = s.queuedReqs, s.queuedTokens
 	if a.ttftHist != nil {
 		st.TTFTP50 = a.ttftHist.Quantile(0.50)
 		st.TTFTP95 = a.ttftHist.Quantile(0.95)
@@ -603,10 +563,10 @@ func (s *Server) Stats() ServerStats {
 		st.TPOTP99 = a.tpotHist.Quantile(0.99)
 	}
 	if a.prefillTime > 0 {
-		st.PrefillTokensPerSecond = float64(a.prefillTokens) / a.prefillTime.Seconds()
+		st.PrefillTokensPerSecond = float64(a.PrefillTokens) / a.prefillTime.Seconds()
 	}
-	if handled := a.prefixHitTokens + a.prefillTokens; handled > 0 {
-		st.PrefixHitRatio = float64(a.prefixHitTokens) / float64(handled)
+	if handled := a.PrefixHitTokens + a.PrefillTokens; handled > 0 {
+		st.PrefixHitRatio = float64(a.PrefixHitTokens) / float64(handled)
 	}
 	if a.ttftN > 0 {
 		st.AvgTTFT = a.ttftSum / time.Duration(a.ttftN)
@@ -614,9 +574,7 @@ func (s *Server) Stats() ServerStats {
 	if a.tpotN > 0 {
 		st.AvgTPOT = a.tpotSum / time.Duration(a.tpotN)
 	}
-	if a.busy > 0 {
-		st.TokensPerSecond = float64(a.tokens) / a.busy.Seconds()
-	}
+	st.TokensPerSecond = a.rate()
 	return st
 }
 
@@ -626,13 +584,13 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) loop() {
 	defer close(s.doneCh)
 	var pending []*Handle
-	var prevAborted map[*Handle]struct{}
+	var prevDeferred []uint64
 	closing := false
 	for {
 		if !closing && len(pending) == 0 {
 			select {
 			case hs := <-s.submitCh:
-				pending = append(pending, s.admit(hs)...)
+				pending = append(pending, hs...)
 			case <-s.closeCh:
 				closing = true
 			}
@@ -649,32 +607,17 @@ func (s *Server) loop() {
 		for more := true; more; {
 			select {
 			case hs := <-s.submitCh:
-				pending = append(pending, s.admit(hs)...)
+				pending = append(pending, hs...)
 			default:
 				more = false
 			}
 		}
-		// Reap requests canceled — or already past their TTFT deadline —
-		// while still queued. Deadline enforcement at the wave boundary
-		// fails a request BEFORE any prefill is wasted on it: a request
-		// whose TTFT budget expired in the queue cannot meet it no matter
-		// what the wave does.
+		// Reap requests canceled while still queued.
 		var live []*Handle
-		now := time.Now()
 		for _, h := range pending {
 			if h.canceled() {
 				s.finalize(h, ErrCanceled)
 				continue
-			}
-			if s.cfg.EnforceDeadlines && h.slo.TTFT > 0 {
-				if waited := now.Sub(h.submitted); waited > h.slo.TTFT {
-					s.mu.Lock()
-					s.stats.deadlineDropped++
-					s.mu.Unlock()
-					s.finalize(h, fmt.Errorf("engine: request %d: TTFT deadline (%v) passed after %v in queue: %w",
-						h.req.ID, h.slo.TTFT, waited.Round(time.Microsecond), ErrDeadlineExceeded))
-					continue
-				}
 			}
 			live = append(live, h)
 		}
@@ -694,7 +637,7 @@ func (s *Server) loop() {
 				for more := true; more; {
 					select {
 					case hs := <-s.submitCh:
-						pending = append(pending, s.admit(hs)...)
+						pending = append(pending, hs...)
 					default:
 						more = false
 					}
@@ -707,18 +650,19 @@ func (s *Server) loop() {
 				}
 				continue
 			}
-			prevAborted = nil
+			prevDeferred = nil
 			continue
 		}
-		pending, prevAborted = s.runWave(pending, prevAborted)
+		pending, prevDeferred = s.runWave(pending, prevDeferred)
 	}
 }
 
-// runWave batches the pending requests, runs one pipeline wave over the
-// placed ones, and returns the deferred remainder plus the deferred
-// handle set for the next wave's no-progress comparison. Every handle
-// it does not return is finished (completed, canceled or failed).
-func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([]*Handle, map[*Handle]struct{}) {
+// runWave plans the boundary over the pending requests (PlanWave), runs
+// one pipeline wave over the admitted ones, and returns the deferred
+// remainder plus its keys for the next boundary's no-progress rule.
+// Every handle it does not return is finished (completed, canceled or
+// failed).
+func (s *Server) runWave(pending []*Handle, prevDeferred []uint64) ([]*Handle, []uint64) {
 	s.mu.Lock()
 	broken := s.broken
 	s.mu.Unlock()
@@ -728,95 +672,43 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 		s.failAll(pending, broken)
 		return nil, nil
 	}
-	var mbs []batching.MicroBatch
-	var abortedReqs []workload.Request
-	var err error
-	if s.cfg.SLOAware {
-		// Deadline-slack admission: order the queue most-urgent-first
-		// (starved requests, then ascending TTFT slack) and run the
-		// placement loop in that order, so when capacity runs out it is
-		// the slack-rich requests that defer — not whoever happens to
-		// have the shortest prompt.
-		now := time.Now()
-		items := make([]AdmissionItem, len(pending))
-		for i, h := range pending {
-			items[i] = AdmissionItem{Submitted: h.submitted, SLO: h.slo, Deferrals: h.deferrals}
-		}
-		order := AdmissionOrder(items, now, s.cfg.StarvationWaves)
-		ordered := make([]*Handle, len(pending))
-		for i, idx := range order {
-			ordered[i] = pending[idx]
-		}
-		pending = ordered
-	}
-	reqs := make([]workload.Request, len(pending))
+	items := make([]AdmissionItem, len(pending))
 	for i, h := range pending {
-		reqs[i] = h.req
+		items[i] = AdmissionItem{Request: h.req, Submitted: h.submitted, SLO: h.slo, Deferrals: h.deferrals, Key: h.key}
 	}
-	if s.cfg.SLOAware {
-		mbs, abortedReqs, err = batching.BatchOrdered(reqs, batchConfig(s.cfg, s.w.Cfg.KVDim()))
-	} else {
-		mbs, abortedReqs, err = batching.Batch(reqs, batchConfig(s.cfg, s.w.Cfg.KVDim()))
-	}
-	aborted := abortedReqs
-	if err != nil {
-		s.failAll(pending, err)
-		return nil, nil
-	}
-	if len(mbs) == 0 {
-		s.failAll(pending, fmt.Errorf("engine: no request fits any micro-batch: %s", s.describeHandles(pending)))
-		return nil, nil
-	}
-
-	// Map the batcher's placement back onto handles. Duplicate request
-	// ids denote identical requests (prompts derive from the id), so a
-	// per-id FIFO keeps the mapping well-defined.
-	byID := make(map[int][]*Handle, len(pending))
-	for _, h := range pending {
-		byID[h.req.ID] = append(byID[h.req.ID], h)
-	}
-	take := func(id int) *Handle {
-		hs := byID[id]
-		h := hs[0]
-		byID[id] = hs[1:]
-		return h
-	}
-	var wave []*Handle
-	var partition [][]int
-	for _, mb := range mbs {
-		group := make([]int, 0, len(mb.Requests))
-		for _, r := range mb.Requests {
-			group = append(group, len(wave))
-			wave = append(wave, take(r.ID))
+	plan := PlanWave(items, time.Now(), prevDeferred, s.cfg, BatchConfig(s.cfg, s.w.Cfg.KVDim()))
+	for _, f := range plan.Failed {
+		if errors.Is(f.Err, ErrDeadlineExceeded) {
+			s.mu.Lock()
+			s.stats.DeadlineDropped++
+			s.mu.Unlock()
+			s.finalize(pending[f.Index], f.Err)
+		} else {
+			s.failAll(pending[f.Index:f.Index+1], f.Err)
 		}
-		partition = append(partition, group)
 	}
 	var deferred []*Handle
-	for _, r := range aborted {
-		h := take(r.ID)
+	for _, i := range plan.Deferred {
+		h := pending[i]
 		h.deferred = true
 		h.deferrals++
 		s.mu.Lock()
-		if h.deferrals > s.stats.maxDeferrals {
-			s.stats.maxDeferrals = h.deferrals
-		}
+		s.stats.MaxDeferrals = max(s.stats.MaxDeferrals, h.deferrals)
 		s.mu.Unlock()
 		deferred = append(deferred, h)
 	}
-
-	// No-progress guard: if the batcher aborts the exact same requests
-	// (by handle identity, so duplicate-valued requests are never
-	// conflated) two waves running, those requests are starved — fail
-	// them instead of deferring forever.
-	var nextAborted map[*Handle]struct{}
-	if sameHandleSet(deferred, prevAborted) {
-		s.failAll(deferred, fmt.Errorf("%w: %s", ErrNoProgress, s.describeHandles(deferred)))
-		deferred = nil
-	} else if len(deferred) > 0 {
-		nextAborted = make(map[*Handle]struct{}, len(deferred))
-		for _, h := range deferred {
-			nextAborted[h] = struct{}{}
+	if len(plan.MicroBatches) == 0 {
+		return deferred, plan.DeferredKeys
+	}
+	var wave []*Handle
+	var partition [][]int
+	for _, mb := range plan.MicroBatches {
+		group := make([]int, len(mb))
+		for j, i := range mb {
+			group[j] = len(wave)
+			wave = append(wave, pending[i])
 		}
+		partition = append(partition, group)
 	}
 
 	waveReqs := make([]workload.Request, len(wave))
@@ -826,13 +718,19 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 	prompts := PromptsFromRequests(waveReqs, s.cfg.Vocab)
 
 	s.mu.Lock()
-	waveNum := s.stats.waves + 1
+	s.dispatched++
+	waveNum := s.dispatched
 	// The wave's handles leave the queue bounds now — they occupy wave
 	// capacity, not queue capacity. Deferred handles stay counted.
 	for _, h := range wave {
 		s.dequeueLocked(h)
 	}
 	s.mu.Unlock()
+	for _, h := range wave {
+		h.mu.Lock()
+		h.wave = waveNum
+		h.mu.Unlock()
+	}
 	start := time.Now()
 	s.gpu.Reset()
 	s.pinned.Reset()
@@ -909,7 +807,7 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 					res.err = werr
 				}
 				s.mu.Lock()
-				s.stats.waveTimeouts++
+				s.stats.WaveTimeouts++
 				s.mu.Unlock()
 			case <-grace.C:
 				// Phase 2: the wave ignored the abort — it is wedged INSIDE
@@ -920,7 +818,7 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 				// push() guard keep the abandoned goroutine from touching
 				// the failed handles if it ever unwedges.
 				s.mu.Lock()
-				s.stats.waveTimeouts++
+				s.stats.WaveTimeouts++
 				s.broken = werr
 				if s.firstErr == nil {
 					s.firstErr = werr
@@ -943,24 +841,24 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 	pl.ReleaseAll()
 	if lerr := pl.KVIdle(); lerr != nil {
 		s.mu.Lock()
-		s.stats.kvLeaks++
+		s.stats.KVLeaks++
 		if s.firstErr == nil {
 			s.firstErr = fmt.Errorf("engine: wave %d: %w", waveNum, lerr)
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	s.stats.htod += pl.Counters.HtoDBytes.Load()
-	s.stats.dtoh += pl.Counters.DtoHBytes.Load()
-	s.stats.pages += pl.Counters.PagesMoved.Load()
-	s.stats.weightBytes += pl.Counters.ExpertPaging.BytesFetched.Load()
-	s.stats.expHits += pl.Counters.ExpertPaging.Hits.Load()
-	s.stats.expMisses += pl.Counters.ExpertPaging.Misses.Load()
-	s.stats.faultRetries += pl.Counters.ExpertPaging.FetchRetries.Load()
-	s.stats.faultFailures += pl.Counters.ExpertPaging.FetchFailures.Load()
-	s.stats.prefillTokens += pl.PrefillTokens
-	s.stats.prefixHitTokens += int(pl.Counters.PrefixHitTokens.Load())
-	s.stats.cowCopies += pl.Counters.CowCopies.Load()
+	s.stats.HtoDBytes += pl.Counters.HtoDBytes.Load()
+	s.stats.DtoHBytes += pl.Counters.DtoHBytes.Load()
+	s.stats.PagesMoved += pl.Counters.PagesMoved.Load()
+	s.stats.WeightBytesFetched += pl.Counters.ExpertPaging.BytesFetched.Load()
+	s.stats.ExpertHits += pl.Counters.ExpertPaging.Hits.Load()
+	s.stats.ExpertMisses += pl.Counters.ExpertPaging.Misses.Load()
+	s.stats.FaultRetries += pl.Counters.ExpertPaging.FetchRetries.Load()
+	s.stats.FaultFailures += pl.Counters.ExpertPaging.FetchFailures.Load()
+	s.stats.PrefillTokens += pl.PrefillTokens
+	s.stats.PrefixHitTokens += int(pl.Counters.PrefixHitTokens.Load())
+	s.stats.CowCopies += pl.Counters.CowCopies.Load()
 	s.stats.prefillTime += pl.PrefillDuration
 	s.mu.Unlock()
 	if gerr != nil {
@@ -982,7 +880,7 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 			s.finalize(h, fmt.Errorf("engine: wave %d: request %d: %w", waveNum, h.req.ID, pl.SeqErr(i)))
 		case hopeless:
 			s.mu.Lock()
-			s.stats.deadlineDropped++
+			s.stats.DeadlineDropped++
 			s.mu.Unlock()
 			s.finalize(h, fmt.Errorf("engine: request %d: TPOT budget (%v) irrecoverable after %d tokens: %w",
 				h.req.ID, h.slo.TPOT, len(tokens[i]), ErrDeadlineExceeded))
@@ -993,15 +891,21 @@ func (s *Server) runWave(pending []*Handle, prevAborted map[*Handle]struct{}) ([
 		}
 	}
 	s.mu.Lock()
-	s.stats.waves++
+	s.stats.Waves++
 	s.stats.busy += time.Since(start)
 	s.mu.Unlock()
-	return deferred, nextAborted
+	return deferred, plan.DeferredKeys
 }
 
-// finalize finishes a handle and folds its outcome into the stats.
+// finalize finishes a handle and folds its outcome into the stats. The
+// handle is sealed before the snapshot below, so no push (not even one
+// from an abandoned wave) lands uncounted, and woken after the stats
+// are updated, so a caller woken by Wait or Done already sees its
+// request counted in Stats.
 func (s *Server) finalize(h *Handle, err error) {
-	h.finish(err)
+	if h.seal(err) {
+		defer h.wake()
+	}
 	h.mu.Lock()
 	n := len(h.out)
 	ttft := h.firstTok.Sub(h.submitted)
@@ -1019,17 +923,17 @@ func (s *Server) finalize(h *Handle, err error) {
 	canceled := false
 	switch {
 	case err == nil:
-		s.stats.completed++
+		s.stats.Completed++
 	case errors.Is(err, ErrCanceled):
-		s.stats.canceled++
+		s.stats.Canceled++
 		canceled = true
 	default:
-		s.stats.failed++
+		s.stats.Failed++
 	}
 	if wasDeferred {
-		s.stats.deferred++
+		s.stats.Deferred++
 	}
-	s.stats.tokens += n
+	s.stats.GeneratedTokens += n
 	if n > 0 {
 		s.stats.ttftSum += ttft
 		s.stats.ttftN++
@@ -1053,28 +957,19 @@ func (s *Server) finalize(h *Handle, err error) {
 	if h.slo.IsZero() || canceled {
 		return
 	}
-	s.stats.sloRequests++
+	s.stats.SLORequests++
 	missTTFT := h.slo.TTFT > 0 && (n == 0 || ttft > h.slo.TTFT)
 	missTTFT = missTTFT || (err != nil && !canceled)
 	missTPOT := h.slo.TPOT > 0 && n > 1 && tpot > h.slo.TPOT
 	if missTTFT {
-		s.stats.sloMissTTFT++
+		s.stats.SLOMissTTFT++
 	}
 	if missTPOT {
-		s.stats.sloMissTPOT++
+		s.stats.SLOMissTPOT++
 	}
 	if !missTTFT && !missTPOT {
-		s.stats.sloMet++
+		s.stats.SLOMet++
 	}
-}
-
-// admit counts a submitted batch into the stats as it enters the
-// pending set.
-func (s *Server) admit(hs []*Handle) []*Handle {
-	s.mu.Lock()
-	s.stats.submitted += len(hs)
-	s.mu.Unlock()
-	return hs
 }
 
 func (s *Server) failAll(hs []*Handle, err error) {
@@ -1089,18 +984,4 @@ func (s *Server) failAll(hs []*Handle, err error) {
 	for _, h := range hs {
 		s.finalize(h, err)
 	}
-}
-
-// sameHandleSet reports whether the deferred handles are exactly the
-// previous wave's aborted set.
-func sameHandleSet(deferred []*Handle, prev map[*Handle]struct{}) bool {
-	if len(deferred) == 0 || len(deferred) != len(prev) {
-		return false
-	}
-	for _, h := range deferred {
-		if _, ok := prev[h]; !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -245,6 +245,47 @@ func TestTokensLazyAllocation(t *testing.T) {
 
 // TestCancelMidWaveDoesNotStall: cancel fires mid-generation while the
 // consumer never drains Tokens(); Close must still return (the push
+// TestSealedHandleDropsPushes: finalize seals a handle before it reads
+// the token count into the stats and wakes it after. A push from an
+// abandoned wave that lands in between is dropped, so the stats, Wait
+// and the token stream agree; Done stays open until the wake.
+func TestSealedHandleDropsPushes(t *testing.T) {
+	h := newHandle(workload.Request{ID: 1, PromptLen: 4, GenLen: 3}, nil, 3, SLO{})
+	tokens := h.Tokens()
+	h.push(0, 7)
+	if !h.seal(ErrDeadlineExceeded) {
+		t.Fatal("first seal reported the handle already sealed")
+	}
+	h.push(1, 8)
+	select {
+	case <-h.Done():
+		t.Fatal("Done closed before the wake")
+	default:
+	}
+	h.wake()
+	out, err := h.Wait()
+	if len(out) != 1 || out[0] != 7 || !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("Wait = %v, %v: want [7] and the sealed error", out, err)
+	}
+	n := 0
+	for range tokens {
+		n++
+	}
+	if n != 1 {
+		t.Errorf("streamed %d tokens after a push into a sealed handle, want 1", n)
+	}
+
+	// Through finalize: the stats count exactly what Wait returns.
+	s := &Server{}
+	h2 := newHandle(workload.Request{ID: 2, PromptLen: 4, GenLen: 3}, nil, 3, SLO{})
+	h2.push(0, 7)
+	s.finalize(h2, nil)
+	h2.push(1, 8)
+	if out, _ := h2.Wait(); len(out) != 1 || s.Stats().GeneratedTokens != 1 {
+		t.Errorf("Wait %v, stats GeneratedTokens %d: want one token on both", out, s.Stats().GeneratedTokens)
+	}
+}
+
 // path never blocks on a full or unconsumed channel).
 func TestCancelMidWaveDoesNotStall(t *testing.T) {
 	srv := newSLOTestServer(t, ServeConfig{

@@ -107,26 +107,28 @@ func MeasuredQuantization() []MeasuredQuantRow {
 			queue[i] = workload.Request{ID: i, PromptLen: 8 + 2*(i%4)}
 		}
 		start := time.Now()
-		res, err := engine.Serve(w, gpu, pinned, cacheArena, queue, engine.ServeConfig{
+		srv, err := engine.NewServer(w, gpu, pinned, cacheArena, engine.ServeConfig{
 			NumMicroBatches: 2, MicroBatchSize: 2,
 			GenLen: 16, CacheTokens: 256, MaxContext: 64,
 			KVDtype: dt,
 		})
+		if err == nil {
+			_, err = srv.SubmitBatch(queue, nil)
+			if cerr := srv.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
 			row.Err = err
 			rows = append(rows, row)
 			continue
 		}
-		elapsed := time.Since(start).Seconds()
-		generated := 0
-		for _, toks := range res.Outputs {
-			generated += len(toks)
-		}
-		if elapsed > 0 {
-			row.TokensPerSecond = float64(generated) / elapsed
+		st := srv.Stats()
+		if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+			row.TokensPerSecond = float64(st.GeneratedTokens) / elapsed
 		}
 		row.CacheBytesPerToken = kvcache.TokenBytes(cfg.KVDim(), dt)
-		row.DtoHBytes = res.DtoHBytes
+		row.DtoHBytes = st.DtoHBytes
 		rows = append(rows, row)
 	}
 	return rows

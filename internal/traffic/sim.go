@@ -1,59 +1,46 @@
 package traffic
 
 import (
-	"fmt"
 	"time"
 
-	"moelightning/internal/batching"
 	"moelightning/internal/engine"
 	"moelightning/internal/workload"
 )
 
-// AdmissionPolicy selects how the simulator orders the pending queue at
-// each wave boundary.
-type AdmissionPolicy string
-
-const (
-	// PolicyFIFO is the classic length-sorted Alg. 2 pass over the
-	// arrival-ordered queue (the engine's default admission).
-	PolicyFIFO AdmissionPolicy = "fifo"
-	// PolicySlack is deadline-slack admission: engine.AdmissionOrder
-	// over the pending queue, placed by batching.BatchOrdered (the
-	// engine's ServeConfig.SLOAware path).
-	PolicySlack AdmissionPolicy = "deadline-slack"
-)
-
 // SimConfig parameterizes a virtual-time admission simulation.
 type SimConfig struct {
-	// Batch is the wave shape (identical role to the live server's
-	// batchConfig output).
-	Batch batching.Config
-	// Policy selects FIFO or deadline-slack admission.
-	Policy AdmissionPolicy
-	// StarvationWaves is the slack policy's starvation bound (<= 0
-	// selects engine.DefaultStarvationWaves).
-	StarvationWaves int
+	// Policy is the live server's own config, honored as the server
+	// honors it: engine.BatchConfig derives the wave shape and KV budget
+	// from it (micro-batch sizes, GenLen, CacheTokens, KVDtype,
+	// SharedPrefixKV), engine.EffGenLen each request's generation
+	// length (HonorRequestGenLen); SLOAware and StarvationWaves order
+	// the queue, MaxQueuedRequests, MaxQueuedTokens and SLOAwareShed
+	// shed arrivals, and EnforceDeadlines fails requests whose TTFT
+	// budget expired in the queue. Its execution fields are ignored.
+	Policy engine.ServeConfig
+	// KVDim is the model's per-token K/V width (model.Config.KVDim),
+	// which prices the KV budget in bytes as the server does. Zero
+	// budgets in tokens: the same decisions under a float32 KV codec.
+	KVDim int
 	// PerPromptToken and PerDecodeStep are the virtual cost model: a
 	// wave's prefill takes admitted-prompt-tokens x PerPromptToken, and
-	// its decode takes GenLen x PerDecodeStep. Zero selects 100us and
-	// 2ms — roughly the tiny functional engine's shape; only relative
-	// magnitudes matter for policy comparison.
+	// its decode takes its longest generation x PerDecodeStep. Zero
+	// selects 100us and 2ms — roughly the tiny functional engine's
+	// shape; only relative magnitudes matter for policy comparison.
 	PerPromptToken time.Duration
 	PerDecodeStep  time.Duration
-	// MaxQueuedRequests mirrors the live server's overload control: an
-	// arrival finding this many requests already pending is shed at
-	// admission (never queued, a TTFT miss if it carried an SLO).
-	// <= 0 disables the bound.
-	MaxQueuedRequests int
 }
 
 // SimWave is one simulated wave boundary.
 type SimWave struct {
 	// Start and End bound the wave on the virtual clock (offsets from
-	// the trace start).
+	// the trace start). A boundary that ran no wave (everything queued
+	// failed) has End == Start and no Admitted.
 	Start, End time.Duration
-	// Admitted and Deferred list request IDs in placement order.
-	Admitted, Deferred []int
+	// Admitted lists request IDs in placement order; Deferred and Failed
+	// list the requests passed over and failed at the boundary, in queue
+	// order.
+	Admitted, Deferred, Failed []int
 }
 
 // SimReport is the outcome of a virtual-time admission simulation.
@@ -61,49 +48,42 @@ type SimReport struct {
 	Waves []SimWave
 	// TTFT maps request ID to its simulated time-to-first-token.
 	TTFT map[int]time.Duration
-	// SLO accounting over SLO-bearing requests (dropped = TTFT miss).
+	// SLO accounting over SLO-bearing requests (failed or shed = TTFT
+	// miss).
 	SLORequests, SLOMet, SLOMissTTFT, SLOMissTPOT int
 	// MaxDeferrals is the worst per-request deferral count observed —
 	// the measured starvation bound.
 	MaxDeferrals int
-	// Dropped lists requests failed by the no-progress guard (they
-	// could not fit any wave two boundaries running).
+	// Dropped lists requests failed at a wave boundary: TTFT expired in
+	// the queue, nothing fits, or no progress.
 	Dropped []int
 	// Shed lists requests rejected by overload control at arrival (the
 	// live server's ErrOverloaded): never queued, never admitted.
 	Shed []int
 }
 
-// SimulateAdmission replays a trace through the engine's actual
-// wave-boundary admission logic on a virtual clock. It is a pure
-// function of (trace, cfg): the batcher (batching.Batch or
-// BatchOrdered) and the ordering (engine.AdmissionOrder) are the same
-// code the live server runs, but time is simulated, so the admitted
-// waves are bit-reproducible — the determinism and FIFO-vs-slack
-// comparisons rest on this.
+// SimulateAdmission replays a trace through the live server's
+// wave-boundary admission code — engine.CheckSubmit at every arrival
+// and engine.PlanWave at every boundary — on a virtual clock. It is a
+// pure function of (trace, cfg), so the admitted waves are
+// bit-reproducible; the determinism and FIFO-vs-slack comparisons rest
+// on this.
 //
 // The cost model is deliberately simple: a wave occupies the server for
-// prefill (admitted prompt tokens x PerPromptToken) plus decode (GenLen
-// x PerDecodeStep), every admitted request's first token lands at the
-// end of prefill, and arrivals during the wave queue for the next
-// boundary. The engine's no-progress guard is mirrored: a deferred set
-// that repeats identically across two boundaries is dropped (those
-// requests count as failed), as is an entire queue that fits no
-// micro-batch at all.
+// prefill (admitted prompt tokens x PerPromptToken) plus decode (its
+// longest generation x PerDecodeStep), every admitted request's first
+// token lands at the end of prefill, and arrivals during the wave queue
+// for the next boundary. SLO-aware shedding reads the generation rate of the waves
+// finished when the request arrives.
 func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 	if err := trace.validate(); err != nil {
 		return SimReport{}, err
 	}
-	if err := cfg.Batch.Validate(); err != nil {
+	bc := engine.BatchConfig(cfg.Policy, cfg.KVDim)
+	if err := bc.Validate(); err != nil {
 		return SimReport{}, err
 	}
-	switch cfg.Policy {
-	case PolicyFIFO, PolicySlack:
-	case "":
-		cfg.Policy = PolicyFIFO
-	default:
-		return SimReport{}, fmt.Errorf("traffic: unknown admission policy %q", cfg.Policy)
-	}
+	genLen := func(r workload.Request) int { return engine.EffGenLen(cfg.Policy, r) }
 	perPrompt := cfg.PerPromptToken
 	if perPrompt <= 0 {
 		perPrompt = 100 * time.Microsecond
@@ -113,22 +93,19 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		perStep = 2 * time.Millisecond
 	}
 
-	// base anchors AdmissionOrder's wall-clock arithmetic at a fixed
+	// base anchors the planner's wall-clock arithmetic at a fixed
 	// instant so the simulation is a pure function of the trace.
 	base := time.Unix(0, 0)
 	rep := SimReport{TTFT: make(map[int]time.Duration)}
-	deferrals := make(map[int]int)
-	arrival := make(map[int]Event, len(trace.Events))
-	for _, ev := range trace.Events {
-		arrival[ev.Request.ID] = ev
-	}
-	dropped := make(map[int]bool)
-	shed := make(map[int]bool)
-
 	next := 0 // first event not yet arrived
-	var pending []Event
+	var pending []engine.AdmissionItem
+	var prevDeferred []uint64
 	var clock time.Duration
-	var prevDeferred []int
+	// Generated tokens and busy time of finished waves, and the share of
+	// both that the last wave added (it is not yet finished for requests
+	// arriving during it).
+	var genTokens, lastTokens int
+	var busy, lastDur, lastEnd time.Duration
 
 	for next < len(trace.Events) || len(pending) > 0 {
 		// Admit everything that has arrived by now; if the queue is
@@ -136,125 +113,90 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		if len(pending) == 0 && trace.Events[next].At > clock {
 			clock = trace.Events[next].At
 		}
-		for next < len(trace.Events) && trace.Events[next].At <= clock {
+		queuedTokens := 0
+		for _, it := range pending {
+			queuedTokens += it.Request.PromptLen + genLen(it.Request)
+		}
+		for ; next < len(trace.Events) && trace.Events[next].At <= clock; next++ {
 			ev := trace.Events[next]
-			next++
-			// Overload control at arrival, exactly where the live server
-			// sheds: a full queue fails the request fast instead of letting
-			// it age toward a blown deadline.
-			if cfg.MaxQueuedRequests > 0 && len(pending) >= cfg.MaxQueuedRequests {
-				shed[ev.Request.ID] = true
+			d := engine.Demand{ID: ev.Request.ID, Tokens: ev.Request.PromptLen + genLen(ev.Request), TTFT: ev.SLO.TTFT}
+			tok, dur := genTokens, busy
+			if ev.At < lastEnd {
+				tok, dur = tok-lastTokens, dur-lastDur
+			}
+			var rate float64
+			if dur > 0 {
+				rate = float64(tok) / dur.Seconds()
+			}
+			if engine.CheckSubmit(cfg.Policy, len(pending), queuedTokens, []engine.Demand{d}, rate) != nil {
 				rep.Shed = append(rep.Shed, ev.Request.ID)
 				continue
 			}
-			pending = append(pending, ev)
+			pending = append(pending, engine.AdmissionItem{
+				Request: ev.Request, Submitted: base.Add(ev.At), SLO: ev.SLO, Key: uint64(next),
+			})
+			queuedTokens += d.Tokens
 		}
-
-		// Order the queue and run the engine's placement loop.
-		queue := pending
-		if cfg.Policy == PolicySlack {
-			items := make([]engine.AdmissionItem, len(pending))
-			for i, ev := range pending {
-				items[i] = engine.AdmissionItem{
-					Submitted: base.Add(ev.At),
-					SLO:       ev.SLO,
-					Deferrals: deferrals[ev.Request.ID],
-				}
-			}
-			order := engine.AdmissionOrder(items, base.Add(clock), cfg.StarvationWaves)
-			queue = make([]Event, len(pending))
-			for i, idx := range order {
-				queue[i] = pending[idx]
-			}
-		}
-		reqs := make([]workload.Request, len(queue))
-		for i, ev := range queue {
-			reqs[i] = ev.Request
-		}
-		var mbs []batching.MicroBatch
-		var aborted []workload.Request
-		var err error
-		if cfg.Policy == PolicySlack {
-			mbs, aborted, err = batching.BatchOrdered(reqs, cfg.Batch)
-		} else {
-			mbs, aborted, err = batching.Batch(reqs, cfg.Batch)
-		}
-		if err != nil {
-			return SimReport{}, err
-		}
-		if len(mbs) == 0 || countRequests(mbs) == 0 {
-			// Nothing fits: the live server fails the whole queue.
-			for _, ev := range pending {
-				dropped[ev.Request.ID] = true
-				rep.Dropped = append(rep.Dropped, ev.Request.ID)
-			}
-			pending = nil
+		if len(pending) == 0 {
+			prevDeferred = nil
 			continue
 		}
 
-		wave := SimWave{Start: clock}
-		promptTokens := 0
-		for _, mb := range mbs {
-			for _, r := range mb.Requests {
+		plan := engine.PlanWave(pending, base.Add(clock), prevDeferred, cfg.Policy, bc)
+		wave := SimWave{Start: clock, End: clock}
+		promptTokens, steps, tokens := 0, 0, 0
+		for _, mb := range plan.MicroBatches {
+			for _, i := range mb {
+				r := pending[i].Request
 				wave.Admitted = append(wave.Admitted, r.ID)
 				promptTokens += r.PromptLen
+				steps = max(steps, genLen(r))
+				tokens += genLen(r)
 			}
 		}
-		for _, r := range aborted {
-			wave.Deferred = append(wave.Deferred, r.ID)
-			deferrals[r.ID]++
-			if deferrals[r.ID] > rep.MaxDeferrals {
-				rep.MaxDeferrals = deferrals[r.ID]
-			}
+		for _, f := range plan.Failed {
+			wave.Failed = append(wave.Failed, pending[f.Index].Request.ID)
+		}
+		rep.Dropped = append(rep.Dropped, wave.Failed...)
+		var deferred []engine.AdmissionItem
+		for _, i := range plan.Deferred {
+			it := pending[i]
+			it.Deferrals++
+			rep.MaxDeferrals = max(rep.MaxDeferrals, it.Deferrals)
+			wave.Deferred = append(wave.Deferred, it.Request.ID)
+			deferred = append(deferred, it)
 		}
 
 		// The wave occupies [clock, clock+prefill+decode); first tokens
 		// land at the end of prefill.
-		prefill := time.Duration(promptTokens) * perPrompt
-		wave.End = clock + prefill + time.Duration(cfg.Batch.GenLen)*perStep
-		for _, id := range wave.Admitted {
-			rep.TTFT[id] = clock + prefill - arrival[id].At
-		}
-		rep.Waves = append(rep.Waves, wave)
-
-		// No-progress guard: an identical deferred set two boundaries
-		// running is starved — drop it (the live server fails those
-		// handles with ErrNoProgress).
-		if len(wave.Deferred) > 0 && sameIDSet(wave.Deferred, prevDeferred) {
-			for _, id := range wave.Deferred {
-				dropped[id] = true
-				rep.Dropped = append(rep.Dropped, id)
-			}
-			pending = nil
-			prevDeferred = nil
-		} else {
-			byID := make(map[int]bool, len(wave.Deferred))
-			for _, id := range wave.Deferred {
-				byID[id] = true
-			}
-			kept := pending[:0]
-			for _, ev := range pending {
-				if byID[ev.Request.ID] {
-					kept = append(kept, ev)
+		if len(wave.Admitted) > 0 {
+			prefill := time.Duration(promptTokens) * perPrompt
+			wave.End = clock + prefill + time.Duration(steps)*perStep
+			for _, mb := range plan.MicroBatches {
+				for _, i := range mb {
+					rep.TTFT[pending[i].Request.ID] = clock + prefill - pending[i].Submitted.Sub(base)
 				}
 			}
-			pending = append([]Event(nil), kept...)
-			prevDeferred = wave.Deferred
+			lastTokens, lastDur, lastEnd = tokens, wave.End-clock, wave.End
+			genTokens += lastTokens
+			busy += lastDur
 		}
+		rep.Waves = append(rep.Waves, wave)
+		pending, prevDeferred = deferred, plan.DeferredKeys
 		clock = wave.End
 	}
 
 	// Judge SLOs: an admitted request's TTFT is simulated; TPOT is the
-	// cost model's constant decode cadence. Dropped requests miss TTFT.
+	// cost model's constant decode cadence. Shed and failed requests
+	// miss TTFT.
 	for _, ev := range trace.Events {
 		if ev.SLO.IsZero() {
 			continue
 		}
 		rep.SLORequests++
 		ttft, admitted := rep.TTFT[ev.Request.ID]
-		missTTFT := !admitted || dropped[ev.Request.ID] || shed[ev.Request.ID] ||
-			(ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
-		missTPOT := ev.SLO.TPOT > 0 && ev.Request.GenLen > 1 && perStep > ev.SLO.TPOT
+		missTTFT := !admitted || (ev.SLO.TTFT > 0 && ttft > ev.SLO.TTFT)
+		missTPOT := ev.SLO.TPOT > 0 && genLen(ev.Request) > 1 && perStep > ev.SLO.TPOT
 		if missTTFT {
 			rep.SLOMissTTFT++
 		}
@@ -266,29 +208,4 @@ func SimulateAdmission(trace Trace, cfg SimConfig) (SimReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-func countRequests(mbs []batching.MicroBatch) int {
-	n := 0
-	for _, mb := range mbs {
-		n += len(mb.Requests)
-	}
-	return n
-}
-
-func sameIDSet(a, b []int) bool {
-	if len(a) != len(b) || len(a) == 0 {
-		return false
-	}
-	seen := make(map[int]int, len(a))
-	for _, id := range a {
-		seen[id]++
-	}
-	for _, id := range b {
-		seen[id]--
-		if seen[id] < 0 {
-			return false
-		}
-	}
-	return true
 }

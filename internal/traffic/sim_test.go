@@ -6,18 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"moelightning/internal/batching"
 	"moelightning/internal/engine"
+	"moelightning/internal/kvcache"
+	"moelightning/internal/model"
 	"moelightning/internal/workload"
 )
 
-func simBatch() batching.Config {
-	return batching.Config{
-		NumMicroBatches: 2,
-		MicroBatchSize:  2,
-		GenLen:          8,
-		CacheTokens:     128,
-	}
+// simShape sets the simulator tests' wave shape on an admission policy:
+// two micro-batches of up to two requests, 8 generated tokens, 128
+// tokens of KV per micro-batch.
+func simShape(p engine.ServeConfig) engine.ServeConfig {
+	p.NumMicroBatches, p.MicroBatchSize, p.GenLen, p.CacheTokens = 2, 2, 8, 128
+	return p
 }
 
 // TestSimulateDeterministic: the same seed yields identical admitted
@@ -25,7 +25,7 @@ func simBatch() batching.Config {
 // function.
 func TestSimulateDeterministic(t *testing.T) {
 	scn := BurstyMix(15, 80)
-	for _, policy := range []AdmissionPolicy{PolicyFIFO, PolicySlack} {
+	for _, policy := range []engine.ServeConfig{{}, {SLOAware: true}} {
 		tr1, err := scn.Generate(2024)
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestSimulateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := SimConfig{Batch: simBatch(), Policy: policy}
+		cfg := SimConfig{Policy: simShape(policy)}
 		a, err := SimulateAdmission(tr1, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -44,10 +44,10 @@ func TestSimulateDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a.Waves, b.Waves) {
-			t.Errorf("%s: same seed produced different admitted waves", policy)
+			t.Errorf("SLOAware=%v: same seed produced different admitted waves", policy.SLOAware)
 		}
 		if !reflect.DeepEqual(a.TTFT, b.TTFT) {
-			t.Errorf("%s: same seed produced different TTFTs", policy)
+			t.Errorf("SLOAware=%v: same seed produced different TTFTs", policy.SLOAware)
 		}
 	}
 }
@@ -70,11 +70,11 @@ func TestSlackBeatsFIFOOnBurstyMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := 10 * time.Millisecond
-	fifo, err := SimulateAdmission(tr, SimConfig{Batch: simBatch(), Policy: PolicyFIFO, PerDecodeStep: step})
+	fifo, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{}), PerDecodeStep: step})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slack, err := SimulateAdmission(tr, SimConfig{Batch: simBatch(), Policy: PolicySlack, PerDecodeStep: step})
+	slack, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{SLOAware: true}), PerDecodeStep: step})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +115,7 @@ func TestSimStarvationBound(t *testing.T) {
 	tr := Trace{Scenario: "starvation", Seed: 1, Events: events}
 	const bound = 3
 	rep, err := SimulateAdmission(tr, SimConfig{
-		Batch:           simBatch(),
-		Policy:          PolicySlack,
-		StarvationWaves: bound,
+		Policy: simShape(engine.ServeConfig{SLOAware: true, StarvationWaves: bound}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +150,7 @@ func TestSimMatchesEngineOrdering(t *testing.T) {
 		t.Fatalf("engine ordering puts ID %d first, want the 100ms-TTFT request", events[order[0]].Request.ID)
 	}
 	rep, err := SimulateAdmission(Trace{Scenario: "x", Events: events}, SimConfig{
-		Batch:  batching.Config{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64},
-		Policy: PolicySlack,
+		Policy: engine.ServeConfig{NumMicroBatches: 1, MicroBatchSize: 1, GenLen: 4, CacheTokens: 64, SLOAware: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,13 +194,13 @@ func TestSimOverloadShedBoundsAdmittedTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := SimConfig{Batch: simBatch(), Policy: PolicySlack, PerDecodeStep: step}
+	base := SimConfig{Policy: simShape(engine.ServeConfig{SLOAware: true}), PerDecodeStep: step}
 	knee, err := SimulateAdmission(atKnee, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bounded := base
-	bounded.MaxQueuedRequests = 8
+	bounded.Policy.MaxQueuedRequests = 8
 	shedding, err := SimulateAdmission(overload, bounded)
 	if err != nil {
 		t.Fatal(err)
@@ -235,5 +232,140 @@ func TestSimOverloadShedBoundsAdmittedTTFT(t *testing.T) {
 	}
 	if pShed >= pOpen {
 		t.Errorf("shedding did not improve admitted p95 TTFT: bounded %v, unbounded %v", pShed, pOpen)
+	}
+}
+
+// TestSimShedsAtTokenBound: the simulator honors the server's
+// MaxQueuedTokens. While the first wave runs, arrivals queue until the
+// next one would push the queued prompt+generation tokens past the
+// bound; that one is shed, and a later, smaller arrival still fits.
+func TestSimShedsAtTokenBound(t *testing.T) {
+	ms := time.Millisecond
+	req := func(id, prompt int) workload.Request { return workload.Request{ID: id, PromptLen: prompt, GenLen: 8} }
+	tr := Trace{Scenario: "token-bound", Events: []Event{
+		{At: 0, Cohort: "a", Request: req(1, 10)},  // runs wave 1 alone
+		{At: ms, Cohort: "a", Request: req(2, 10)}, // queued: 18 tokens
+		{At: ms, Cohort: "a", Request: req(3, 10)}, // 36
+		{At: ms, Cohort: "a", Request: req(4, 10)}, // 54 > 45: shed
+		{At: ms, Cohort: "a", Request: req(5, 1)},  // 45: fits
+	}}
+	rep, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{MaxQueuedTokens: 45})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Shed, []int{4}) {
+		t.Fatalf("shed %v, want [4]", rep.Shed)
+	}
+	if len(rep.Dropped) != 0 || len(rep.TTFT) != 4 {
+		t.Errorf("dropped %v, admitted %d: want none dropped and the other 4 admitted", rep.Dropped, len(rep.TTFT))
+	}
+	unbounded, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unbounded.Shed) != 0 {
+		t.Errorf("no token bound, yet shed %v", unbounded.Shed)
+	}
+}
+
+// TestSimEnforceDeadlinesReapsExpired: under EnforceDeadlines a request
+// whose TTFT budget runs out while it waits behind a wave fails at the
+// next boundary, before it gets a wave; its wave-mate with room to
+// spare is admitted. Without the knob the expired request is admitted
+// late and merely misses its SLO.
+func TestSimEnforceDeadlinesReapsExpired(t *testing.T) {
+	ms := time.Millisecond
+	req := func(id int) workload.Request { return workload.Request{ID: id, PromptLen: 10, GenLen: 8} }
+	// Wave 1 runs request 1 over [0, 17ms): 1ms prefill + 8 x 2ms decode.
+	tr := Trace{Scenario: "deadline", Events: []Event{
+		{At: 0, Cohort: "a", Request: req(1)},
+		{At: ms, Cohort: "a", Request: req(2), SLO: SLO{TTFT: 5 * ms}},
+		{At: ms, Cohort: "a", Request: req(3), SLO: SLO{TTFT: time.Second}},
+	}}
+	rep, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{EnforceDeadlines: true})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Waves) != 2 || !reflect.DeepEqual(rep.Waves[1].Failed, []int{2}) || !reflect.DeepEqual(rep.Waves[1].Admitted, []int{3}) {
+		t.Fatalf("waves %+v: want request 2 failed and request 3 admitted at the second boundary", rep.Waves)
+	}
+	if _, ok := rep.TTFT[2]; ok || !reflect.DeepEqual(rep.Dropped, []int{2}) {
+		t.Errorf("request 2 got a wave or was not dropped: TTFT %v, dropped %v", rep.TTFT, rep.Dropped)
+	}
+	if rep.SLORequests != 2 || rep.SLOMissTTFT != 1 || rep.SLOMet != 1 {
+		t.Errorf("SLO accounting %d/%d met, %d TTFT misses: want 1/2 and 1", rep.SLOMet, rep.SLORequests, rep.SLOMissTTFT)
+	}
+	lax, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := lax.TTFT[2]; !ok || len(lax.Dropped) != 0 {
+		t.Errorf("deadlines not enforced: request 2 should be admitted late, TTFT %v dropped %v", lax.TTFT, lax.Dropped)
+	}
+}
+
+// TestSimSLOAwareShedUsesFinishedWaves: under SLOAwareShed the
+// simulator projects the queue drain at the generation rate of the
+// waves finished when a request arrives, as the live server measures
+// it. Request 2 arrives during wave 1, before any rate exists, so it
+// queues although its 1ms budget is hopeless; request 3 arrives during
+// wave 2 with the same budget and is shed at wave 1's rate, while
+// request 4, arriving with it under an ample budget, still queues.
+func TestSimSLOAwareShedUsesFinishedWaves(t *testing.T) {
+	ms := time.Millisecond
+	req := func(id int) workload.Request { return workload.Request{ID: id, PromptLen: 10, GenLen: 8} }
+	// Wave 1 runs request 1 over [0, 17ms): 1ms prefill + 8 x 2ms
+	// decode, so 8 tokens in 17ms (~470 tok/s). Wave 2 runs request 2
+	// over [17ms, 34ms). Request 3's projected drain is its own 18
+	// tokens at that rate, ~38ms.
+	tr := Trace{Scenario: "slo-shed", Events: []Event{
+		{At: 0, Cohort: "a", Request: req(1)},
+		{At: ms, Cohort: "a", Request: req(2), SLO: SLO{TTFT: ms}},
+		{At: 20 * ms, Cohort: "a", Request: req(3), SLO: SLO{TTFT: ms}},
+		{At: 20 * ms, Cohort: "a", Request: req(4), SLO: SLO{TTFT: time.Second}},
+	}}
+	rep, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{SLOAwareShed: true})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Shed, []int{3}) {
+		t.Fatalf("shed %v, want [3]: only the hopeless arrival after wave 1 finished", rep.Shed)
+	}
+	for _, id := range []int{1, 2, 4} {
+		if _, ok := rep.TTFT[id]; !ok {
+			t.Errorf("request %d was not admitted", id)
+		}
+	}
+	off, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(off.Shed) != 0 {
+		t.Errorf("SLOAwareShed off, yet shed %v", off.Shed)
+	}
+}
+
+// TestSimBudgetsKVLikeTheServer: the simulator prices KV through
+// engine.BatchConfig, as the live server does, so an int8 KV codec
+// admits the wave a float32 codec must split: two 68-token requests
+// overflow a 128-token micro-batch at 4 bytes per value, not at 1.
+func TestSimBudgetsKVLikeTheServer(t *testing.T) {
+	var events []Event
+	for id := 1; id <= 4; id++ {
+		events = append(events, Event{Cohort: "a", Request: workload.Request{ID: id, PromptLen: 60, GenLen: 8}})
+	}
+	tr := Trace{Scenario: "kv-budget", Events: events}
+	kvDim := model.Tiny().KVDim()
+	for _, tc := range []struct {
+		dtype kvcache.DType
+		want  int
+	}{{kvcache.F32, 2}, {kvcache.Int8, 4}} {
+		rep, err := SimulateAdmission(tr, SimConfig{Policy: simShape(engine.ServeConfig{KVDtype: tc.dtype}), KVDim: kvDim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(rep.Waves[0].Admitted); got != tc.want {
+			t.Errorf("KV codec %v: first wave admitted %d, want %d", tc.dtype, got, tc.want)
+		}
 	}
 }

@@ -20,11 +20,10 @@
 // against a live server (each request submitted from its own goroutine
 // at its due instant, TTFT/TPOT measured per request, goodput counted
 // under each cohort's SLO). SimulateAdmission replays the same trace
-// through the engine's actual wave-boundary admission logic
-// (batching.Batch / batching.BatchOrdered plus engine.AdmissionOrder)
-// on a virtual clock — a pure function used to compare FIFO against
-// deadline-slack admission deterministically and to test that a seeded
-// trace always produces identical admitted waves.
+// through the live server's own admission code (engine.CheckSubmit at
+// arrival, engine.PlanWave at every wave boundary) on a virtual clock —
+// a pure function used to compare admission policies deterministically
+// and to test that a seeded trace always produces identical waves.
 //
 // Sweep runs a scenario at several arrival-rate multiples and FindKnee
 // locates the saturation knee — the point past which offered load no

@@ -8,7 +8,6 @@ import (
 	"moelightning/internal/engine"
 	"moelightning/internal/faults"
 	"moelightning/internal/kvcache"
-	"moelightning/internal/memory"
 )
 
 // Streaming-server types, re-exported from the engine. They are
@@ -242,22 +241,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if vocab <= 0 {
 		vocab = cfg.Model.VocabSize
 	}
-	layout := engine.NewLayout(cfg.Model)
-	layerFloats := layout.LayerFloats()
-	// The GPU/pinned arenas hold the double-buffered shared region, the
-	// expert residency pool (and its per-slot pinned staging), and the
-	// per-micro-batch transfer buffers; 2*layerFloats covers the first
-	// two at the default residency, and the slot term covers any larger
-	// ExpertResidencyBytes the caller configures.
-	residencyFloats := layout.ResidencySlots(cfg.ExpertResidencyBytes) * layout.ExpertFloats()
-	weightArena := 2*layerFloats + residencyFloats + 4<<20
-	waveSeqs := cfg.MicroBatchSize * cfg.NumMicroBatches
-	cacheCap := 2*waveSeqs*cfg.MaxContext*cfg.Model.KVDim()*2 + 4<<20
-	cpu := memory.NewArena("cpu", cfg.Model.Layers*layerFloats+4<<20)
-	gpu := memory.NewArena("gpu", weightArena)
-	pinned := memory.NewArena("pinned", weightArena)
-	cacheArena := memory.NewArena("kvcache", cacheCap)
-
+	cpu, gpu, pinned, cacheArena := engine.NewArenas(cfg.Model, cfg.ExpertResidencyBytes,
+		cfg.MicroBatchSize*cfg.NumMicroBatches, cfg.MaxContext)
 	w, err := engine.NewRandomWeights(cpu, cfg.Model, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -288,7 +273,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{cfg: cfg, w: w, eng: eng, vocab: vocab, cacheCap: cacheCap}, nil
+	return &Server{cfg: cfg, w: w, eng: eng, vocab: vocab, cacheCap: cacheArena.Capacity()}, nil
 }
 
 // Submit admits one request. Canceling ctx cancels the request: queued,
